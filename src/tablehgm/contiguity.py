@@ -10,9 +10,19 @@ matrices and one diagonal matrix of minor ratios:
                     . C(alpha)^(-1)
 
 The two inverses inside the product use the closed forms from the
-intersection module; the inverse of c_i itself (needed for downward shifts)
-is obtained by building c_i at the shifted parameters and solving with exact
-elimination, never by symbolically inverting the five-factor product.
+intersection module.  Upward shifts apply this product.  Downward shifts
+never form c_i: its inverse is a sum of r rank-one terms, one per label J
+containing i and not 0,
+
+    c_i(alpha; x)^(-1) phi = sum over J of
+        <v_J(alpha + delta_i), phi> / I_alpha(swap, J)
+        . |xtilde<swap>| / |xtilde<J>| . I_alpha(., J),
+
+where swap = J - {i} + {0}.  v_J is sparse and in closed form, and the
+pairing column I_alpha(., J) has at most k+1 nonzero entries on J_dot, so a
+downward shift is a short loop over a per-(shape, i) step plan.
+contiguity_matrix and exact elimination remain as the reference the tests
+compare against, and as the float backend's transport.
 
 Series-level shifts carry scalar factors: none for the row indices
 1 <= i <= k, and 1/(alpha_i + 1) (upward) or alpha_i (downward) for the
@@ -23,15 +33,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import linalg
 from .errors import PathStepError, SingularMinorError
-from .gauss_manin import GMVector, v_J
+from .gauss_manin import GMVector, v_J_scaled
 from .indexsets import (
     IndexSet,
     aligned_0Ji,
     aligned_iJ0,
     enumerate_J_dot,
     enumerate_pJq,
+    j_dot_position,
 )
 from .intersection import (
     SquareMatrixR,
@@ -39,7 +49,6 @@ from .intersection import (
     inverse_P,
     matrix_C,
     matrix_Q,
-    pairing_scaled,
 )
 from .minors import minor
 from .rationals import rat
@@ -133,46 +142,70 @@ def shift_up_series(alpha, x, i, sbar):
 
 
 def shift_down_series(alpha, x, i, sbar):
-    """Transport the series vector from alpha to alpha - delta_i: build the
-    contiguity matrix at the target parameters and solve by exact elimination."""
+    """Transport the series vector from alpha to alpha - delta_i: the
+    frame-free inverse of c_i at the target parameters, with the column-block
+    scalar alpha_i folded into each rank-one term."""
     target = alpha.shift_down(i)
-    c = contiguity_matrix(target, x, i)
-    w = linalg.solve([list(r) for r in c.rows], list(sbar.entries))
-    out = GMVector(c.col_labels, tuple(w))
-    if i > alpha.shape.k:
-        return out.scaled(alpha[i])
-    return out
+    scale = alpha[i] if i > alpha.shape.k else 1
+    return GMVector(sbar.labels, tuple(_inverse_step(target, x, i, sbar.entries, scale)))
 
 
 def contiguity_inverse_frame_free(alpha, x, i, phi):
-    """Frame-free inverse action on a J_dot-coordinate column (the transported
-    vector convention): for each label J containing i (not 0), weight
+    """c_i(alpha; x)^(-1) applied to a J_dot-coordinate column phi, as the sum
+    of rank-one terms in the module docstring; equals solving
+    contiguity_matrix(alpha, x, i) against phi."""
+    return GMVector(phi.labels, tuple(_inverse_step(alpha, x, i, phi.entries, 1)))
 
-        <v_J at shifted parameters, phi> / I(swap, J) . |xtilde<swap>|/|xtilde<J>|
 
-    (swap = J with i replaced by 0) and emit that multiple of the pairing
-    column of J.  Per-label this is a rank-one summand of the inverse matrix,
-    so the total equals solving contiguity_matrix(alpha, x, i) against phi.
+@lru_cache(maxsize=None)
+def _step_plan(shape, i):
+    """Per label J in enumerate_pJq(i, 0): (J, swap, column), where swap is
+    J - {i} + {0} and column lists (J_dot position, sign, e) for every e in J
+    with {0} + J - {e} in J_dot (e = last only, when last is in J).
+
+    The pairings there are I(swap, J) = (-1)^q_i / prod(alpha over J - {i})
+    and I({0} + J - {e}, J) = (-1)^q_e / prod(alpha over J - {e}), with q the
+    position inside J, so their quotient is sign . alpha_e / alpha_i with
+    sign = (-1)^(q_i + q_e).
     """
-    shape = alpha.shape
+    last = shape.last
+    plan = []
+    for J in enumerate_pJq(i, 0, shape):
+        elems = J.elements
+        q_i = elems.index(i)
+        swap = IndexSet(tuple(sorted((0,) + tuple(e for e in elems if e != i))))
+        column = tuple(
+            (
+                j_dot_position(shape, IndexSet((0,) + elems[:q] + elems[q + 1:])),
+                -1 if (q + q_i) % 2 else 1,
+                e,
+            )
+            for q, e in enumerate(elems)
+            if e == last or last not in elems
+        )
+        plan.append((J, swap, column))
+    return tuple(plan)
+
+
+def _inverse_step(alpha, x, i, phi, scale):
+    """scale . c_i(alpha; x)^(-1) phi on plain lists: for each label J of the
+    step plan, <v_J(alpha + delta_i), phi> . |xtilde<swap>| / |xtilde<J>| /
+    I_alpha(swap, J) times the pairing column of J."""
     alpha.require_nonzero()
     shifted = alpha.shift_up(i)
     shifted.require_nonzero()
-    jdot = enumerate_J_dot(shape)
-    out = GMVector.zero(jdot)
-    for J in enumerate_pJq(i, 0, shape):
-        swap = IndexSet(tuple(sorted(tuple(e for e in J.elements if e != i) + (0,))))
-        num = sum(
-            v * s for v, s in zip(v_J(shifted, J).entries, phi.entries) if v and s
-        )
-        if num == 0:
+    # v_J_scaled carries a factor shifted_last; I(swap, J) a factor 1/alpha_i.
+    den = shifted[alpha.shape.last] * alpha[i]
+    out = [rat(0)] * alpha.shape.rank
+    for J, swap, column in _step_plan(alpha.shape, i):
+        num = sum(value * phi[pos] for pos, value in v_J_scaled(shifted, J) if phi[pos])
+        if not num:
             continue
-        den = pairing_scaled(alpha, swap, J)
-        m_swap = minor(x, swap)
         m_J = minor(x, J)
-        if m_J == 0:
-            raise SingularMinorError(f"minor {J} vanishes at the given x")
-        coeff = num / den * m_swap / m_J
-        pair_col = GMVector(jdot, tuple(pairing_scaled(alpha, Jp, J) for Jp in jdot))
-        out = out + pair_col.scaled(coeff)
+        m_swap = minor(x, swap)
+        if m_J == 0 or m_swap == 0:
+            raise SingularMinorError(f"vanishing minor in the ratio {swap}/{J}")
+        base = num * scale * m_swap / (m_J * den)
+        for pos, sign, e in column:
+            out[pos] += sign * alpha[e] * base
     return out

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from numbers import Integral, Rational
 from time import perf_counter
 
 from . import linalg
@@ -39,6 +40,14 @@ from .rationals import as_float, rat, rat_from_str
 from .series import gm_vector_S, oracle_E, oracle_Z
 
 
+def _exact_weight(v):
+    """An exact rational weight: ints become rationals; bools, floats and any
+    other inexact scalar are refused, so no float reaches an exact result."""
+    if isinstance(v, bool) or not isinstance(v, Rational):
+        raise InputError(f"probabilities must be exact integers or rationals, got {v!r}")
+    return rat(int(v)) if isinstance(v, Integral) else v
+
+
 @dataclass(frozen=True)
 class TableProblem:
     """Margins and positive cell probabilities of a two-way table."""
@@ -51,7 +60,7 @@ class TableProblem:
         if not self.row_sums or not self.col_sums:
             raise InputError("row_sums and col_sums must be nonempty")
         for s in self.row_sums + self.col_sums:
-            if not isinstance(s, int) or s < 0:
+            if not isinstance(s, int) or isinstance(s, bool) or s < 0:
                 raise InputError(f"marginal sums must be nonnegative integers, got {s!r}")
         if sum(self.row_sums) != sum(self.col_sums):
             raise InputError(
@@ -61,10 +70,12 @@ class TableProblem:
             len(row) != len(self.col_sums) for row in self.probs
         ):
             raise InputError("probability matrix does not match the margins")
-        for row in self.probs:
+        probs = tuple(tuple(_exact_weight(v) for v in row) for row in self.probs)
+        for row in probs:
             for v in row:
                 if v <= 0:
                     raise InputError(f"probabilities must be positive, got {v}")
+        object.__setattr__(self, "probs", probs)
 
     @classmethod
     def of(cls, row_sums, col_sums, probs):

@@ -12,9 +12,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError, InternalCheckError, ZeroAlphaError
-from .indexsets import alpha_J, enumerate_J_circ, enumerate_J_dot, j_dot_position
-from .intersection import SquareMatrixR, inverse_C, matrix_C, pairing_scaled
-from .linalg import vecmat
+from .indexsets import (
+    IndexSet,
+    alpha_J,
+    enumerate_J,
+    enumerate_J_circ,
+    enumerate_J_dot,
+    j_dot_position,
+)
+from .intersection import SquareMatrixR, matrix_C, pairing_scaled
 from .minors import dlog_minor, d2log_minor
 from .rationals import rat
 
@@ -67,17 +73,86 @@ class GMVector:
         )
 
 
-@lru_cache(maxsize=65536)
-def v_J(alpha, J):
-    """Coefficient row of the class labeled J over the basis J_dot:
-    the row of pairings against J_dot times the inverse intersection matrix."""
+def _sigma(I, j):
+    """sigma(I, j) = (-1)^#{e in I : e < j}, the sign of inserting j into I."""
+    return -1 if sum(1 for e in I if e < j) % 2 else 1
+
+
+def _closed_form(shape, J):
+    """alpha_last . v_J(alpha) as integer linear forms in alpha, one per
+    nonzero J_dot position: ((position, ((slot, multiplier), ...)), ...).
+
+    A label with 0 and without last is a basis element.  A label I + {last}
+    with 0 in I reduces by the twisted relation
+        sum over j not in I of sigma(I, j) alpha_j omega_{I+j} = 0.
+    A label without 0 reduces by the Orlik-Solomon relation over K = (0, J):
+        omega_J = sum over t >= 1 of (-1)^(t+1) omega_{K - K_t},
+    each of whose terms contains 0.
+    """
+    last = shape.last
+    acc = {}
+
+    def add(L, slot, mult):
+        form = acc.setdefault(j_dot_position(shape, IndexSet(tuple(sorted(L)))), {})
+        form[slot] = form.get(slot, 0) + mult
+
+    def reduce(L, sign):
+        if last not in L:
+            add(L, last, sign)
+            return
+        I = L[:-1]
+        s_last = _sigma(I, last)
+        for j in range(last):
+            if j not in I:
+                add(I + (j,), j, -sign * _sigma(I, j) * s_last)
+
+    elems = J.elements
+    if elems[0] == 0:
+        reduce(elems, 1)
+    else:
+        K = (0,) + elems
+        for t in range(1, len(K)):
+            reduce(K[:t] + K[t + 1:], 1 if t % 2 else -1)
+    return tuple(
+        (pos, tuple((slot, m) for slot, m in sorted(form.items()) if m))
+        for pos, form in sorted(acc.items())
+    )
+
+
+@lru_cache(maxsize=None)
+def label_plan(shape):
+    """The closed form of every (k+1)-label of the shape, keyed by label."""
+    return {J: _closed_form(shape, J) for J in enumerate_J(shape)}
+
+
+def v_J_scaled(alpha, J):
+    """alpha_last . v_J(alpha) as ((J_dot position, value), ...) over the
+    nonzero entries; the values are linear in alpha, so integer for integer
+    alpha."""
+    out = []
+    for pos, form in label_plan(alpha.shape)[J]:
+        value = sum(m * alpha[slot] for slot, m in form)
+        if value:
+            out.append((pos, value))
+    return out
+
+
+def v_J_sparse(alpha, J):
+    """Coefficients of the class labeled J over the basis J_dot, as
+    {J_dot position: coefficient} over the nonzero entries (closed form, see
+    _closed_form)."""
     alpha.require_nonzero()
+    last = alpha[alpha.shape.last]
+    return {pos: rat(value) / last for pos, value in v_J_scaled(alpha, J)}
+
+
+def v_J(alpha, J):
+    """Coefficient row of the class labeled J over the basis J_dot: the dense
+    form of v_J_sparse."""
+    sparse = v_J_sparse(alpha, J)
     jdot = enumerate_J_dot(alpha.shape)
-    if J in jdot:
-        return GMVector.unit(jdot, j_dot_position(alpha.shape, J))
-    row = [pairing_scaled(alpha, J, Jp) for Jp in jdot]
-    cinv = inverse_C(alpha)
-    return GMVector(jdot, tuple(vecmat(row, [list(r) for r in cinv.rows])))
+    zero = rat(0)
+    return GMVector(jdot, tuple(sparse.get(pos, zero) for pos in range(len(jdot))))
 
 
 @lru_cache(maxsize=65536)

@@ -181,16 +181,6 @@ class SquareMatrixR:
             for j, v in enumerate(row)
         )
 
-    @classmethod
-    def identity_on(cls, labels):
-        n = len(labels)
-        one, zero = rat(1), rat(0)
-        return cls(
-            tuple(labels),
-            tuple(labels),
-            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)),
-        )
-
 
 def pairing_scaled(alpha, J, Jp):
     """Scaled intersection number of the forms labeled J and Jp.

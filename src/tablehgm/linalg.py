@@ -113,9 +113,3 @@ def matvec(a, v):
 def vecmat(v, a):
     """Row vector times matrix."""
     return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))]
-
-
-def identity(n):
-    one = rat(1)
-    zero = rat(0)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]

@@ -28,10 +28,6 @@ def rat(num=0, den=1):
     return Fraction(num, den)
 
 
-RAT_ZERO = rat(0)
-RAT_ONE = rat(1)
-
-
 def rat_from_str(s):
     """Parse "num/den", integer, or decimal strings ("0.25", "2.5e-3") exactly."""
     text = s.strip()

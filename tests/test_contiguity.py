@@ -155,14 +155,19 @@ def test_apply_contiguity_matches_matrix(rng):
 
 
 def test_inverse_frame_free_matches_solve(rng):
-    for shape in small_shapes(4):
+    """The frame-free down-step equals exact elimination on the contiguity
+    matrix: every shift index up to shape (3, 3), and the first row index,
+    the first column index and the last index at (3, 4)."""
+    cases = [(shape, range(1, shape.last + 1)) for shape in small_shapes(4)]
+    cases += [(Shape(2, 3), range(1, 7)), (Shape(3, 3), range(1, 8)), (Shape(3, 4), (1, 4, 8))]
+    for shape, indices in cases:
         alpha = random_alpha_nonzero(rng, shape)
+        while not all(alpha.shift_up(i).nonzero() for i in indices):
+            alpha = random_alpha_nonzero(rng, shape)
         x = random_x(rng, shape)
         jdot = enumerate_J_dot(shape)
         phi = GMVector(jdot, tuple(rat(rng.randint(-5, 5), rng.randint(1, 5)) for _ in jdot))
-        for i in range(1, shape.last + 1):
-            if not alpha.shift_up(i).nonzero():
-                continue
+        for i in indices:
             c = contiguity_matrix(alpha, x, i)
             want = tuple(solve([list(r) for r in c.rows], list(phi.entries)))
             got = contiguity_inverse_frame_free(alpha, x, i, phi)

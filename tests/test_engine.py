@@ -37,6 +37,64 @@ FIGURE_VECTORS = [
 ]
 
 
+def test_int_weights_become_exact_rationals():
+    prob = TableProblem((2, 1), (1, 2), ((1, 2), (3, 4)))
+    assert all(type(v) is type(rat(1)) for row in prob.probs for v in row)
+    res = evaluate(prob)
+    assert type(res.Z) is type(rat(1))
+    assert res.Z == oracle_Z(prob.row_sums, prob.col_sums, prob.probs) == 14
+    assert res.expectations == oracle_E(prob.row_sums, prob.col_sums, prob.probs)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        ((True, 4), (1, 2)),
+        ((1, 4.0), (1, 2)),
+        ((rat(1), 2), (3, 0.5)),
+        ((1, 2), (3, "4")),
+        ((1, 2), (3, None)),
+    ],
+)
+def test_inexact_weights_refused(probs):
+    with pytest.raises(InputError):
+        TableProblem((2, 1), (1, 2), probs)
+
+
+def test_bool_margins_refused():
+    with pytest.raises(InputError):
+        TableProblem((True, 1), (1, 1), ((1, 2), (3, 4)))
+
+
+def test_exact_transport_builds_no_matrix_and_solves_nothing(rng, monkeypatch):
+    """The exact path takes every downward shift frame-free: with
+    contiguity_matrix and linalg.solve made to raise, evaluate still answers
+    3x3 and 4x4 problems with down-steps, equal to the enumeration oracles."""
+    from tablehgm import contiguity, engine, linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix built or solved on the exact path")
+
+    monkeypatch.setattr(contiguity, "contiguity_matrix", refuse)
+    monkeypatch.setattr(engine, "contiguity_matrix", refuse)
+    monkeypatch.setattr(linalg, "solve", refuse)
+    for size, total in ((3, 9), (4, 9)):
+        for _ in range(20):
+            prob = random_problem(rng, size, size, total)
+            try:
+                res = evaluate(prob, EvalOptions(gradients=False))
+            except XNotGenericError:
+                continue
+            break
+        else:
+            raise AssertionError(f"no generic {size}x{size} draw")
+        assert any(d < 0 for _, d in res.diagnostics.path)
+        assert res.Z == oracle_Z(prob.row_sums, prob.col_sums, prob.probs)
+        assert res.expectations == oracle_E(prob.row_sums, prob.col_sums, prob.probs)
+    with pytest.raises(AssertionError):
+        evaluate(PAPER, EvalOptions(backend="float"))
+
+
 def test_problem_validation():
     with pytest.raises(InputError):
         TableProblem.of((1, 2), (2, 2), [["1", "1"], ["1", "1"]])

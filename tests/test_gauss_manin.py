@@ -8,21 +8,59 @@ from tablehgm.gauss_manin import (
     psi_all,
     psi_coefficient,
     psi_coefficient_partial,
+    label_plan,
     v_J,
+    v_J_sparse,
 )
 from tablehgm.indexsets import (
     alpha_J,
+    enumerate_J,
     enumerate_J_circ,
     enumerate_J_dot,
     enumerate_pJq,
 )
-from tablehgm.intersection import matrix_C, pairing_scaled
+from tablehgm.intersection import inverse_C, matrix_C, pairing_scaled
 from tablehgm.linalg import vecmat
 from tablehgm.rationals import rat
 
 from conftest import random_alpha_nonzero, random_alpha_statistical, random_x, small_shapes
 
 A11 = ParamVector(Shape(1, 1), (-2, -1, 1, 2))
+
+
+def v_J_via_inverse_C(alpha, J):
+    """Reference route for v_J: the row of pairings of J against J_dot times
+    the closed-form inverse of the intersection matrix C(alpha)."""
+    row = [pairing_scaled(alpha, J, Jp) for Jp in enumerate_J_dot(alpha.shape)]
+    return tuple(vecmat(row, [list(r) for r in inverse_C(alpha).rows]))
+
+
+@pytest.mark.parametrize("shape", [Shape(k, n) for k in range(1, 4) for n in range(1, 5)], ids=lambda s: f"{s.k}-{s.n}")
+def test_v_J_closed_form_matches_inverse_C(rng, shape):
+    """The closed form equals the C^-1 route at every label, for parameters
+    with either sign of alpha_last, and its sparse form holds exactly the
+    nonzero entries."""
+    for _ in range(2):
+        alpha = random_alpha_nonzero(rng, shape)
+        for J in enumerate_J(shape):
+            want = v_J_via_inverse_C(alpha, J)
+            assert v_J(alpha, J).entries == want
+            assert v_J_sparse(alpha, J) == {p: v for p, v in enumerate(want) if v}
+
+
+def test_v_J_closed_form_matches_inverse_C_at_4x4(rng):
+    shape = Shape(4, 4)
+    alpha = random_alpha_nonzero(rng, shape)
+    for J in enumerate_J(shape):
+        assert v_J(alpha, J).entries == v_J_via_inverse_C(alpha, J)
+
+
+def test_v_J_closed_form_is_sparse():
+    """At shape (3, 3) (4x4 tables, r = 20) no label has more than 10
+    nonzero entries."""
+    plan = label_plan(Shape(3, 3))
+    assert len(plan) == len(enumerate_J(Shape(3, 3)))
+    assert max(len(form) for form in plan.values()) == 10
 
 
 def test_v_J_unit_rows():
